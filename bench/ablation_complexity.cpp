@@ -9,6 +9,7 @@
 #include "core/l_selection.h"
 #include "core/r_selection.h"
 #include "optimize/combine.h"
+#include "reference/reference.h"
 #include "workload/module_gen.h"
 #include "workload/rng.h"
 
@@ -114,7 +115,7 @@ void BM_SliceMergeNaive(benchmark::State& state) {
   OptimizerStats stats;
   BudgetTracker budget(0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(combine_slice_naive(a, b, false, budget, stats));
+    benchmark::DoNotOptimize(reference::combine_slice_naive(a, b, false, budget, stats));
   }
   state.SetComplexityN(state.range(0));
 }

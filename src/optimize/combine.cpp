@@ -1,6 +1,9 @@
 #include "optimize/combine.h"
 
+#include <algorithm>
 #include <cassert>
+#include <limits>
+#include <vector>
 
 #include "kernel/arena.h"
 #include "kernel/soa.h"
@@ -13,79 +16,56 @@
 // Float-accumulation audit (docs/ALGORITHMS.md §11): every combine kernel
 // below is pure int64 arithmetic — min/max/+ over Dim — with no
 // floating-point accumulation anywhere, so handing rows to the SIMD
-// kernels cannot reassociate anything observable. The budget decisions
-// are count-based (TransientScope::add per candidate, in generation
-// order), which the SoA rewrite preserves element for element.
+// kernels cannot reassociate anything observable.
+//
+// Memory accounting (docs/ALGORITHMS.md §2): the kernels prune while they
+// generate, but the BudgetTracker is charged what [9]'s append-then-prune
+// generation holds — one transient unit per candidate [9] appends, in
+// generation order, and the compaction points of its candidate buffer —
+// so total_generated, every peak and every budget-abort decision are the
+// paper's, while the physical buffers hold only survivors.
 
 namespace fpopt {
 namespace {
 
-/// Finalize one generation context: prune the pre-chain, convert surviving
-/// temp ids (left-child references) into provenance records, assign global
-/// entry ids, and append the chain to the result. Counts the chain as
-/// stored right away — partially built L sets are real memory and must be
-/// able to trip the budget mid-combine, exactly like [9] running out of
-/// memory halfway through a node.
-void emit_chain(std::vector<LEntry>& pre_chain, std::uint32_t right_idx, LCombineResult& out,
-                BudgetTracker& budget, OptimizerStats& stats) {
-  stats.total_generated += pre_chain.size();
-  if (pre_chain.empty()) return;
-  const LList pruned = LList::from_prechain(pre_chain);
-#if defined(FPOPT_VALIDATE)
-  // Catch from_prechain bugs right where the chain is born, before the
-  // temp ids are rewritten into provenance records.
-  enforce(check_l_list(pruned, "emit_chain"), "combine emit_chain");
-#endif
-  std::vector<LEntry> entries(pruned.begin(), pruned.end());
-  for (LEntry& e : entries) {
-    out.prov.push_back({e.id, right_idx});
-    e.id = static_cast<std::uint32_t>(out.prov.size() - 1);
+/// Close one L generation context: candidate i is (w1[i], w2, h1[i], h2[i])
+/// with left-child reference id[i] (i itself when `id` is null), in
+/// pre-chain order (w1 non-increasing, heights non-decreasing). [9] appends
+/// all n candidates before pruning, so they are charged one unit each;
+/// LList::from_prechain's stack sweep then runs over the rows in index
+/// space (`stack` has room for n) and only the survivors are written, into
+/// the chain's own vector. Counts the chain as stored right away —
+/// partially built L sets are real memory and must be able to trip the
+/// budget mid-combine, exactly like [9] running out of memory halfway
+/// through a node.
+void emit_chain(const Dim* w1, Dim w2, const Dim* h1, const Dim* h2, const std::uint32_t* id,
+                std::size_t n, std::uint32_t* stack, std::uint32_t right_idx,
+                LCombineResult& out, BudgetTracker& budget, OptimizerStats& stats) {
+  TransientScope transient(budget);
+  transient.add_units(n);
+  stats.total_generated += n;
+  // w2 is shared, so Definition 1 dominance is over (w1, h1, h2). In
+  // pre-chain order an earlier candidate dominates a later one only when
+  // the heights are equal, and a later one an earlier one only when w1
+  // ties; an exact duplicate of the stack top replaces it.
+  const auto dominates = [&](std::size_t a, std::size_t b) {
+    return w1[a] >= w1[b] && h1[a] >= h1[b] && h2[a] >= h2[b];
+  };
+  std::size_t top = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    assert(i == 0 || (w1[i - 1] >= w1[i] && h1[i - 1] <= h1[i] && h2[i - 1] <= h2[i]));
+    while (top > 0 && dominates(stack[top - 1], i)) --top;
+    if (top > 0 && dominates(i, stack[top - 1])) continue;
+    stack[top++] = static_cast<std::uint32_t>(i);
   }
-  budget.add_stored(entries.size());
+  std::vector<LEntry> entries(top);
+  for (std::size_t k = 0; k < top; ++k) {
+    const std::uint32_t i = stack[k];
+    out.prov.push_back({id != nullptr ? id[i] : i, right_idx});
+    entries[k] = {{w1[i], w2, h1[i], h2[i]}, static_cast<std::uint32_t>(out.prov.size() - 1)};
+  }
+  budget.add_stored(top);
   out.set.add(LList::from_chain_unchecked(std::move(entries)));
-  pre_chain.clear();
-}
-
-/// Finalize one rect generation context: stack-prune the monotone
-/// candidate run (w non-increasing, h non-decreasing) and append survivors
-/// to the global candidate buffer.
-void emit_rect_run(const std::vector<RectImpl>& run, const std::vector<Prov>& run_prov,
-                   std::vector<RectImpl>& cands, std::vector<Prov>& prov,
-                   TransientScope& transient, OptimizerStats& stats) {
-  stats.total_generated += run.size();
-  const std::size_t first_kept = cands.size();
-  for (std::size_t i = 0; i < run.size(); ++i) {
-    const RectImpl c = run[i];
-    assert(i == 0 || (run[i - 1].w >= c.w && run[i - 1].h <= c.h));
-    while (cands.size() > first_kept && cands.back().dominates(c)) {
-      cands.pop_back();
-      prov.pop_back();
-    }
-    if (cands.size() > first_kept && c.dominates(cands.back())) continue;
-    cands.push_back(c);
-    prov.push_back(run_prov[i]);
-    transient.add(1);
-  }
-}
-
-/// Eager in-place dominance pruning of a candidate buffer. [9] keeps its
-/// working sets non-redundant as it goes; doing the same bounds the
-/// transient memory of a combine step by the frontier size instead of the
-/// cross-product size.
-void compact_rect(std::vector<RectImpl>& cands, std::vector<Prov>& prov,
-                  TransientScope& transient) {
-  const std::vector<std::size_t> kept = prune_rect_candidates(cands);
-  std::vector<RectImpl> new_cands;
-  std::vector<Prov> new_prov;
-  new_cands.reserve(kept.size());
-  new_prov.reserve(kept.size());
-  for (std::size_t idx : kept) {
-    new_cands.push_back(cands[idx]);
-    new_prov.push_back(prov[idx]);
-  }
-  cands = std::move(new_cands);
-  prov = std::move(new_prov);
-  transient.reset_to(cands.size());
 }
 
 /// Same idea for a growing L set: drop cross-chain redundancy eagerly.
@@ -117,6 +97,132 @@ RCombineResult finalize_rect(std::vector<RectImpl>& cands, std::vector<Prov>& pr
 #endif
   return out;
 }
+
+/// WheelClose's running Pareto frontier. [9] appends every stack-pruned
+/// run to one candidate buffer and prunes the whole buffer whenever it
+/// outgrows a threshold. Here the buffer is virtual: its size drives the
+/// transient charge and the compaction points exactly, while physically
+///  * `front_` is the pruned buffer as of the last compaction (R-list
+///    order), and
+///  * `fresh_` holds, in generation order, the run survivors since then
+///    that `front_` does not already dominate.
+/// A compaction merges the two into the new `front_`. Dropping what
+/// `front_` dominates cannot change any prune: dominance is transitive,
+/// and an exact duplicate of a `front_` element is a later copy, which
+/// the tie rule (earliest-generated wins) drops anyway.
+class CloseFrontier {
+ public:
+  explicit CloseFrontier(BudgetTracker& budget) : transient_(budget) {}
+
+  /// One run of n candidates (w[i], h[i]) from left entry left_id[i] and
+  /// top rect right_idx, in generation order (w non-increasing, h
+  /// non-decreasing). `stack` has room for n.
+  void add_run(const Dim* w, const Dim* h, const std::uint32_t* left_id,
+               std::uint32_t right_idx, std::size_t n, std::uint32_t* stack,
+               OptimizerStats& stats) {
+    stats.total_generated += n;
+    // The stack prune [9] runs on the end of its buffer: within the run an
+    // earlier candidate dominates a later one only on equal h, a later one
+    // an earlier one only on equal w. Every push is charged one unit (pops
+    // give nothing back); the survivors stay in the buffer.
+    std::size_t top = 0, pushes = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      assert(i == 0 || (w[i - 1] >= w[i] && h[i - 1] <= h[i]));
+      while (top > 0 && w[stack[top - 1]] >= w[i] && h[stack[top - 1]] >= h[i]) --top;
+      if (top > 0 && w[i] >= w[stack[top - 1]] && h[i] >= h[stack[top - 1]]) continue;
+      stack[top++] = static_cast<std::uint32_t>(i);
+      ++pushes;
+    }
+    transient_.add_units(pushes);
+    buffered_ += top;
+    for (std::size_t k = 0; k < top; ++k) {
+      const std::uint32_t i = stack[k];
+      if (front_dominates(w[i], h[i])) continue;
+      fresh_.push_back({w[i], h[i]});
+      fresh_prov_.push_back({left_id[i], right_idx});
+    }
+    if (buffered_ > compact_at_) {
+      merge_fresh();
+      buffered_ = front_.size();
+      transient_.reset_to(buffered_);
+      compact_at_ = std::max<std::size_t>(4096, buffered_ * 2);
+    }
+  }
+
+  /// The final prune of [9]'s buffer.
+  RCombineResult finish() {
+    merge_fresh();
+    RCombineResult out;
+    out.list = RList::from_sorted_unchecked(std::move(front_));
+    out.prov = std::move(front_prov_);
+#if defined(FPOPT_VALIDATE)
+    CheckResult post;
+    if (out.prov.size() != out.list.size()) {
+      post.add("combine/provenance", "CloseFrontier::finish",
+               "provenance array no longer parallel to the pruned list");
+    }
+    enforce(post, "combine CloseFrontier::finish");
+#endif
+    return out;
+  }
+
+ private:
+  /// True iff some element of front_ has w' <= w and h' <= h. front_ is
+  /// width-descending with heights ascending, so the first element with
+  /// w' <= w has the smallest h' among them.
+  [[nodiscard]] bool front_dominates(Dim w, Dim h) const {
+    const auto it = std::partition_point(front_.begin(), front_.end(),
+                                         [w](const RectImpl& r) { return r.w > w; });
+    return it != front_.end() && it->h <= h;
+  }
+
+  /// front_ := Pareto-minimal subset of front_ + fresh_, in R-list order.
+  /// Both sides are walked width-ascending; on an exact tie front_ (the
+  /// earlier-generated side) wins, and within fresh_ the earliest copy.
+  void merge_fresh() {
+    if (fresh_.empty()) return;
+    const std::vector<std::size_t> kept = prune_rect_candidates(fresh_);
+    std::vector<RectImpl> merged;
+    std::vector<Prov> merged_prov;
+    merged.reserve(front_.size() + kept.size());
+    merged_prov.reserve(front_.size() + kept.size());
+    std::size_t a = front_.size(), b = kept.size();
+    Dim min_h = std::numeric_limits<Dim>::max();
+    const auto offer = [&](const RectImpl& r, const Prov& p) {
+      if (r.h >= min_h) return;
+      min_h = r.h;
+      merged.push_back(r);
+      merged_prov.push_back(p);
+    };
+    while (a > 0 || b > 0) {
+      const bool take_front =
+          b == 0 || (a > 0 && (front_[a - 1].w != fresh_[kept[b - 1]].w
+                                   ? front_[a - 1].w < fresh_[kept[b - 1]].w
+                                   : front_[a - 1].h <= fresh_[kept[b - 1]].h));
+      if (take_front) {
+        --a;
+        offer(front_[a], front_prov_[a]);
+      } else {
+        --b;
+        offer(fresh_[kept[b]], fresh_prov_[kept[b]]);
+      }
+    }
+    std::reverse(merged.begin(), merged.end());
+    std::reverse(merged_prov.begin(), merged_prov.end());
+    front_ = std::move(merged);
+    front_prov_ = std::move(merged_prov);
+    fresh_.clear();
+    fresh_prov_.clear();
+  }
+
+  TransientScope transient_;
+  std::size_t buffered_ = 0;  ///< size of [9]'s candidate buffer
+  std::size_t compact_at_ = 4096;
+  std::vector<RectImpl> front_;
+  std::vector<Prov> front_prov_;
+  std::vector<RectImpl> fresh_;
+  std::vector<Prov> fresh_prov_;
+};
 
 RectImpl slice_shape(const RectImpl& a, const RectImpl& b, bool horizontal) {
   return horizontal ? RectImpl{std::max(a.w, b.w), a.h + b.h}
@@ -194,52 +300,27 @@ RCombineResult combine_slice(const RList& a, const RList& b, bool horizontal,
   return finalize_rect(cands, prov);
 }
 
-RCombineResult combine_slice_naive(const RList& a, const RList& b, bool horizontal,
-                                   BudgetTracker& budget, OptimizerStats& stats) {
-  assert(!a.empty() && !b.empty());
-  TransientScope transient(budget);
-  std::vector<RectImpl> cands;
-  std::vector<Prov> prov;
-  cands.reserve(a.size() * b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    for (std::size_t j = 0; j < b.size(); ++j) {
-      cands.push_back(slice_shape(a[i], b[j], horizontal));
-      prov.push_back({static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j)});
-      transient.add(1);
-    }
-  }
-  stats.total_generated += cands.size();
-  return finalize_rect(cands, prov);
-}
-
 LCombineResult combine_wheel_stack(const RList& d, const RList& a, LPruning pruning,
                                    BudgetTracker& budget, OptimizerStats& stats) {
   assert(!d.empty() && !a.empty());
   LCombineResult out;
-  std::vector<LEntry> pre_chain;
-  pre_chain.reserve(d.size());
   std::size_t compact_at = 4096;
 
   // SoA pass: D's curve is gathered once, and per a[j] the whole w1/h1
   // column pair is produced by two row kernels (w2 == a[j].w and h2 == d_i.h
-  // need no work). The chain is then assembled in the original (j, i)
-  // order with the original per-candidate budget charge, so candidate
-  // streams and OOM decisions are unchanged.
+  // need no work); emit_chain prunes the rows in the original (j, i) order.
   kernel::Arena& arena = kernel::scratch_arena();
   kernel::ArenaScope scope(arena);
   const kernel::RCurveSoA ds = kernel::load_r_curve(arena, d.impls());
   Dim* w1 = scope.alloc_array<Dim>(ds.n);
   Dim* h1 = scope.alloc_array<Dim>(ds.n);
+  std::uint32_t* stack = scope.alloc_array<std::uint32_t>(ds.n);
 
   for (std::size_t j = 0; j < a.size(); ++j) {
-    TransientScope transient(budget);
     kernel::max_broadcast(ds.w, ds.n, a[j].w, w1);  // max(d_i.w, a_j.w)
     kernel::add_broadcast(ds.h, ds.n, a[j].h, h1);  // d_i.h + a_j.h
-    for (std::size_t i = 0; i < ds.n; ++i) {
-      pre_chain.push_back({{w1[i], a[j].w, h1[i], ds.h[i]}, static_cast<std::uint32_t>(i)});
-      transient.add(1);
-    }
-    emit_chain(pre_chain, static_cast<std::uint32_t>(j), out, budget, stats);
+    emit_chain(w1, a[j].w, h1, ds.h, nullptr, ds.n, stack, static_cast<std::uint32_t>(j), out,
+               budget, stats);
     maybe_compact_l(out, pruning, compact_at, budget);
   }
   return out;
@@ -250,34 +331,28 @@ namespace {
 /// Shared driver for op2/op3: apply a row transform to every
 /// (chain element, rect impl) pair, one context per (chain, rect impl).
 /// `row_op(rows, rect, ow1, oh1, oh2)` fills the transformed w1/h1/h2
-/// columns for one rect via the sweep kernels; the driver assembles them
-/// into pre-chains in the original (chain, j, i) order with the original
-/// per-candidate budget charge.
+/// columns for one rect via the sweep kernels; emit_chain prunes them in
+/// the original (chain, j, i) order.
 template <typename RowOpFn>
 LCombineResult combine_l_with_rect(const LListSet& l, const RList& r, RowOpFn&& row_op,
                                    LPruning pruning, BudgetTracker& budget,
                                    OptimizerStats& stats) {
   assert(!r.empty());
   LCombineResult out;
-  std::vector<LEntry> pre_chain;
   std::size_t compact_at = 4096;
   kernel::Arena& arena = kernel::scratch_arena();
   for (const LList& chain : l.lists()) {
-    pre_chain.reserve(chain.size());
     kernel::ArenaScope scope(arena);
     const LChainRows rows = load_chain_rows(arena, chain);
     const std::size_t n = rows.soa.n;
     Dim* ow1 = scope.alloc_array<Dim>(n);
     Dim* oh1 = scope.alloc_array<Dim>(n);
     Dim* oh2 = scope.alloc_array<Dim>(n);
+    std::uint32_t* stack = scope.alloc_array<std::uint32_t>(n);
     for (std::size_t j = 0; j < r.size(); ++j) {
-      TransientScope transient(budget);
       row_op(rows, r[j], ow1, oh1, oh2);
-      for (std::size_t i = 0; i < n; ++i) {
-        pre_chain.push_back({{ow1[i], rows.w2, oh1[i], oh2[i]}, rows.id[i]});
-        transient.add(1);
-      }
-      emit_chain(pre_chain, static_cast<std::uint32_t>(j), out, budget, stats);
+      emit_chain(ow1, rows.w2, oh1, oh2, rows.id, n, stack, static_cast<std::uint32_t>(j), out,
+                 budget, stats);
       maybe_compact_l(out, pruning, compact_at, budget);
     }
   }
@@ -317,12 +392,7 @@ LCombineResult combine_wheel_extend(const LListSet& l, const RList& c, LPruning 
 RCombineResult combine_wheel_close(const LListSet& l, const RList& b, BudgetTracker& budget,
                                    OptimizerStats& stats) {
   assert(!b.empty());
-  TransientScope transient(budget);
-  std::vector<RectImpl> cands;
-  std::vector<Prov> prov;
-  std::vector<RectImpl> run;
-  std::vector<Prov> run_prov;
-  std::size_t compact_at = 4096;
+  CloseFrontier frontier(budget);
   kernel::Arena& arena = kernel::scratch_arena();
   for (const LList& chain : l.lists()) {
     kernel::ArenaScope scope(arena);
@@ -330,24 +400,15 @@ RCombineResult combine_wheel_close(const LListSet& l, const RList& b, BudgetTrac
     const std::size_t n = rows.soa.n;
     Dim* ow = scope.alloc_array<Dim>(n);
     Dim* oh = scope.alloc_array<Dim>(n);
+    std::uint32_t* stack = scope.alloc_array<std::uint32_t>(n);
     for (std::size_t j = 0; j < b.size(); ++j) {
-      run.clear();
-      run_prov.clear();
       // Per element: { max(w1, w2 + b_j.w), max(h1, h2 + b_j.h) }.
       kernel::max_broadcast(rows.soa.w1, n, rows.w2 + b[j].w, ow);
       kernel::max_add_broadcast(rows.soa.h1, rows.soa.h2, n, b[j].h, oh);
-      for (std::size_t i = 0; i < n; ++i) {
-        run.push_back({ow[i], oh[i]});
-        run_prov.push_back({rows.id[i], static_cast<std::uint32_t>(j)});
-      }
-      emit_rect_run(run, run_prov, cands, prov, transient, stats);
-      if (cands.size() > compact_at) {
-        compact_rect(cands, prov, transient);
-        compact_at = std::max<std::size_t>(4096, cands.size() * 2);
-      }
+      frontier.add_run(ow, oh, rows.id, static_cast<std::uint32_t>(j), n, stack, stats);
     }
   }
-  return finalize_rect(cands, prov);
+  return frontier.finish();
 }
 
 }  // namespace fpopt

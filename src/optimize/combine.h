@@ -64,11 +64,6 @@ struct LCombineResult {
 [[nodiscard]] RCombineResult combine_slice(const RList& a, const RList& b, bool horizontal,
                                            BudgetTracker& budget, OptimizerStats& stats);
 
-/// Reference implementation of combine_slice via the full cross product;
-/// used by property tests only.
-[[nodiscard]] RCombineResult combine_slice_naive(const RList& a, const RList& b, bool horizontal,
-                                                 BudgetTracker& budget, OptimizerStats& stats);
-
 /// How aggressively L sets are kept non-redundant.
 ///  * PerChain: dominated implementations are eliminated within each
 ///    irreducible L-list only; cross-chain redundancy survives.

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
 
 #include "geometry/types.h"
 
@@ -80,6 +81,13 @@ class BudgetTracker {
   }
   void sub_transient(std::size_t n) { transient_ -= n; }
 
+  /// Units that still fit under the budget (SIZE_MAX when unlimited).
+  [[nodiscard]] std::size_t room() const {
+    if (budget_ == 0) return std::numeric_limits<std::size_t>::max();
+    const std::size_t live = stored_ + transient_;
+    return budget_ > live ? budget_ - live : 0;
+  }
+
   [[nodiscard]] std::size_t stored() const { return stored_; }
   [[nodiscard]] std::size_t peak_stored() const { return peak_stored_; }
   [[nodiscard]] std::size_t peak_transient() const { return peak_transient_; }
@@ -110,8 +118,18 @@ class TransientScope {
   ~TransientScope() { tracker_.sub_transient(count_); }
 
   void add(std::size_t n) {
-    count_ += n;
     tracker_.add_transient(n);
+    count_ += n;  // only what the tracker accepted is given back
+  }
+
+  /// Same effect as n calls of add(1): the budget trips on the same unit
+  /// and the exception carries the same counts. This is how the combine
+  /// kernels charge [9]'s one-candidate-at-a-time buffer growth without a
+  /// call per candidate.
+  void add_units(std::size_t n) {
+    const std::size_t fit = std::min(n, tracker_.room());
+    add(fit);
+    if (fit < n) add(1);  // throws, as the (fit+1)-th add(1) would
   }
 
   /// A compaction shrank the buffer to `n` elements.

@@ -8,17 +8,30 @@
 
 namespace fpopt {
 
-bool is_irreducible_l_chain(std::span<const LImpl> chain) {
+namespace {
+
+template <typename Elem, typename ShapeOf>
+bool irreducible(std::span<const Elem> chain, ShapeOf&& shape_of) {
   for (std::size_t i = 0; i < chain.size(); ++i) {
-    if (!chain[i].valid()) return false;
+    const LImpl& c = shape_of(chain[i]);
+    if (!c.valid()) return false;
     if (i == 0) continue;
-    const LImpl& p = chain[i - 1];
-    const LImpl& c = chain[i];
+    const LImpl& p = shape_of(chain[i - 1]);
     if (p.w2 != c.w2) return false;
     if (!(p.w1 > c.w1)) return false;          // strict, or one would dominate
     if (p.h1 > c.h1 || p.h2 > c.h2) return false;  // non-decreasing heights
   }
   return true;
+}
+
+}  // namespace
+
+bool is_irreducible_l_chain(std::span<const LImpl> chain) {
+  return irreducible(chain, [](const LImpl& s) -> const LImpl& { return s; });
+}
+
+bool is_irreducible_l_chain(std::span<const LEntry> chain) {
+  return irreducible(chain, [](const LEntry& e) -> const LImpl& { return e.shape; });
 }
 
 LList LList::from_prechain(std::span<const LEntry> cands) {
@@ -45,7 +58,7 @@ LList LList::from_prechain(std::span<const LEntry> cands) {
     }
     out.entries_.push_back(c);
   }
-  assert(is_irreducible_l_chain(out.shapes()));
+  assert(is_irreducible_l_chain(out.entries()));
   return out;
 }
 
@@ -55,7 +68,7 @@ LList LList::from_chain_unchecked(std::vector<LEntry> entries) {
 #if defined(FPOPT_VALIDATE)
   enforce(check_l_list(out, "from_chain_unchecked"), "LList::from_chain_unchecked");
 #else
-  assert(is_irreducible_l_chain(out.shapes()));
+  assert(is_irreducible_l_chain(out.entries()));
 #endif
   return out;
 }
@@ -75,7 +88,7 @@ LList LList::subset(std::span<const std::size_t> kept) const {
     assert(i == 0 || kept[i - 1] < kept[i]);
     out.entries_.push_back(entries_[kept[i]]);
   }
-  assert(is_irreducible_l_chain(out.shapes()));
+  assert(is_irreducible_l_chain(out.entries()));
   return out;
 }
 

@@ -32,6 +32,8 @@ struct LEntry {
 /// decreasing w1, componentwise non-decreasing (h1,h2) with consecutive
 /// elements distinct, and every element canonically valid.
 [[nodiscard]] bool is_irreducible_l_chain(std::span<const LImpl> chain);
+/// The same check over entries' shapes, without copying them out.
+[[nodiscard]] bool is_irreducible_l_chain(std::span<const LEntry> chain);
 
 /// An irreducible L-list. Invariant: is_irreducible_l_chain(shapes) holds.
 class LList {

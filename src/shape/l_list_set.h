@@ -33,9 +33,11 @@ class LListSet {
   [[nodiscard]] std::vector<LEntry> all_entries() const;
 
   /// Remove every implementation dominated by another one anywhere in the
-  /// set (global Pareto-minimal prune per w2 group, keeping one copy of
-  /// duplicates), then re-partition each group into irreducible chains.
-  /// Entry ids are preserved. Returns the number of entries removed.
+  /// set (global Pareto-minimal prune per w2 group; of exact duplicates the
+  /// lowest id — the earliest generated — survives), then re-partition
+  /// each group into irreducible chains by first fit in (w1 desc, h1 asc,
+  /// h2 asc) order. Groups come out in ascending w2. Entry ids are
+  /// preserved. Returns the number of entries removed.
   std::size_t canonicalize();
 
   /// Replace the stored chains wholesale (each must be irreducible).
@@ -47,14 +49,5 @@ class LListSet {
   std::vector<LList> lists_;
   std::size_t total_ = 0;
 };
-
-/// Partition `entries` (all sharing one w2, mutually non-dominating) into
-/// irreducible chains. Exposed separately for unit testing.
-[[nodiscard]] std::vector<LList> partition_into_chains(std::vector<LEntry> entries);
-
-/// Pareto-minimal subset of `entries` under Definition 1 dominance (one
-/// copy kept for exact duplicates). All entries must share one w2.
-/// Exposed separately for unit testing.
-[[nodiscard]] std::vector<LEntry> pareto_min_l_entries(std::vector<LEntry> entries);
 
 }  // namespace fpopt

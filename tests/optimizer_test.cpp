@@ -3,6 +3,10 @@
 // path, bounded-mode semantics, and the simulated memory budget.
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "core/l_selection.h"
+#include "core/r_selection.h"
 #include "floorplan/serialize.h"
 #include "test_util.h"
 #include "optimize/optimizer.h"
@@ -218,6 +222,166 @@ TEST(OptimizerTest, RootCurveIsIrreducible) {
   EXPECT_TRUE(is_irreducible_r_list(out.root.impls()));
   EXPECT_GT(out.root.size(), 1u);
 }
+
+// ---- the paper's counters, pinned ---------------------------------------
+//
+// total_generated and the tracker peaks are the paper's M and must not
+// move when the combine and canonicalize layers change how they prune.
+// The numbers below were recorded before the fused generate-and-prune
+// rewrite of combine_wheel_close / LListSet::canonicalize; every budget
+// decision and the abort-time state at peak_live - 1 are pinned with them.
+
+/// Mirrors NodeEvaluator (src/optimize/optimizer.cpp) on one serial
+/// tracker, so a test can see the MemoryLimitExceeded payload that
+/// optimize_floorplan turns into out_of_memory.
+std::optional<MemoryLimitExceeded> replay_budget_abort(const FloorplanTree& tree,
+                                                       const OptimizerOptions& opts) {
+  const BinaryTree btree = restructure(tree, opts.restructure);
+  std::vector<NodeResult> nodes(btree.node_count);
+  BudgetTracker budget(opts.impl_budget);
+  OptimizerStats stats;
+  const SelectionConfig& sel = opts.selection;
+  const auto store_rect = [&](NodeResult& res, RCombineResult&& combined) {
+    budget.add_stored(combined.list.size());
+    if (sel.k1 != 0 && combined.list.size() > sel.k1) {
+      const SelectionResult picked = r_selection(combined.list, sel.k1, sel.dp);
+      budget.sub_stored(combined.list.size() - picked.kept.size());
+      combined.list = combined.list.subset(picked.kept);
+    }
+    res.rlist = std::move(combined.list);
+  };
+  const auto store_l = [&](NodeResult& res, LCombineResult&& combined) {
+    if (opts.l_pruning != LPruning::PerChain) budget.sub_stored(combined.set.canonicalize());
+    if (sel.k2 != 0) {
+      const LSelectionOptions lopts{sel.metric, sel.dp, sel.heuristic_cap,
+                                    LHeuristic::UniformSubsample};
+      const LReductionReport report = reduce_l_set(combined.set, sel.k2, sel.theta, lopts);
+      if (report.triggered) budget.sub_stored(report.before - report.after);
+    }
+    res.is_l = true;
+    res.lset = std::move(combined.set);
+  };
+  const std::function<void(const BinaryNode&)> eval = [&](const BinaryNode& node) {
+    if (node.left) eval(*node.left);
+    if (node.right) eval(*node.right);
+    NodeResult& res = nodes[node.id];
+    const auto rect = [&](const BinaryNode& n) -> const RList& { return nodes[n.id].rlist; };
+    const auto lset = [&](const BinaryNode& n) -> const LListSet& { return nodes[n.id].lset; };
+    switch (node.op) {
+      case BinaryOp::LeafModule:
+        res.rlist = tree.module(node.module_id).impls;
+        budget.add_stored(res.rlist.size());
+        break;
+      case BinaryOp::SliceH:
+      case BinaryOp::SliceV:
+        store_rect(res, combine_slice(rect(*node.left), rect(*node.right),
+                                      node.op == BinaryOp::SliceH, budget, stats));
+        break;
+      case BinaryOp::WheelStack:
+        store_l(res, combine_wheel_stack(rect(*node.left), rect(*node.right), opts.l_pruning,
+                                         budget, stats));
+        break;
+      case BinaryOp::WheelFillNotch:
+        store_l(res, combine_wheel_fill_notch(lset(*node.left), rect(*node.right),
+                                              opts.l_pruning, budget, stats));
+        break;
+      case BinaryOp::WheelExtend:
+        store_l(res, combine_wheel_extend(lset(*node.left), rect(*node.right), opts.l_pruning,
+                                          budget, stats));
+        break;
+      case BinaryOp::WheelClose:
+        store_rect(res, combine_wheel_close(lset(*node.left), rect(*node.right), budget, stats));
+        break;
+    }
+  };
+  try {
+    eval(*btree.root);
+  } catch (const MemoryLimitExceeded& e) {
+    return e;
+  }
+  return std::nullopt;
+}
+
+struct PaperCounterPin {
+  const char* name;
+  int fp;
+  bool table4;  ///< Table 4 selection config instead of exact [9]
+  std::size_t total_generated, peak_stored, peak_transient, peak_live;
+  Area best_area;
+  // Serial run at impl_budget = peak_live - 1: abort-time stats and the
+  // MemoryLimitExceeded payload.
+  std::size_t abort_generated, abort_peak_stored, abort_peak_transient, abort_peak_live,
+      abort_final_stored;
+  std::size_t payload_stored, payload_transient;
+};
+
+void PrintTo(const PaperCounterPin& pin, std::ostream* os) { *os << pin.name; }
+
+OptimizerOptions pin_options(const PaperCounterPin& pin, std::size_t threads, std::size_t budget) {
+  OptimizerOptions o;
+  o.impl_budget = budget;
+  o.threads = threads;
+  if (pin.table4) {
+    o.selection.k1 = 40;
+    o.selection.k2 = 1000;
+    o.selection.theta = 0.75;
+    o.selection.heuristic_cap = 1024;
+    o.selection.metric = LpMetric::L1;
+  }
+  return o;
+}
+
+class PaperCounterTest
+    : public ::testing::TestWithParam<std::tuple<PaperCounterPin, std::size_t>> {};
+
+TEST_P(PaperCounterTest, CountersAndBudgetDecisionsArePinned) {
+  const auto& [pin, threads] = GetParam();
+  const FloorplanTree tree = make_paper_floorplan(pin.fp, 3);
+
+  const auto expect_counters = [&](const OptimizeOutcome& out, const char* what) {
+    ASSERT_FALSE(out.out_of_memory) << what;
+    EXPECT_EQ(out.stats.total_generated, pin.total_generated) << what;
+    EXPECT_EQ(out.stats.peak_stored, pin.peak_stored) << what;
+    EXPECT_EQ(out.stats.peak_transient, pin.peak_transient) << what;
+    EXPECT_EQ(out.stats.peak_live, pin.peak_live) << what;
+    EXPECT_EQ(out.best_area, pin.best_area) << what;
+  };
+  expect_counters(optimize_floorplan(tree, pin_options(pin, threads, 0)), "unlimited");
+  expect_counters(optimize_floorplan(tree, pin_options(pin, threads, pin.peak_live)),
+                  "budget = peak_live");
+
+  const OptimizerOptions tight = pin_options(pin, threads, pin.peak_live - 1);
+  const OptimizeOutcome aborted = optimize_floorplan(tree, tight);
+  ASSERT_TRUE(aborted.out_of_memory);
+  if (threads != 0) return;  // the parallel partial snapshot depends on the schedule
+  EXPECT_EQ(aborted.stats.total_generated, pin.abort_generated);
+  EXPECT_EQ(aborted.stats.peak_stored, pin.abort_peak_stored);
+  EXPECT_EQ(aborted.stats.peak_transient, pin.abort_peak_transient);
+  EXPECT_EQ(aborted.stats.peak_live, pin.abort_peak_live);
+  EXPECT_EQ(aborted.stats.final_stored, pin.abort_final_stored);
+  const std::optional<MemoryLimitExceeded> payload = replay_budget_abort(tree, tight);
+  ASSERT_TRUE(payload.has_value());
+  EXPECT_EQ(payload->stored, pin.payload_stored);
+  EXPECT_EQ(payload->transient, pin.payload_transient);
+  EXPECT_EQ(payload->stored, aborted.stats.final_stored);
+}
+
+// FP3 case 3 exact [9], and FP4 case 3 under Table 4's K1=40 K2=1000
+// theta=0.75 S=1024 L1 — the two solve workloads of perfbench/.
+INSTANTIATE_TEST_SUITE_P(
+    PaperCases, PaperCounterTest,
+    ::testing::Combine(
+        ::testing::Values(PaperCounterPin{"fp3_exact", 3, false, 3273901, 490754, 26698, 490840,
+                                          116365, 943550, 490751, 87, 490837, 490751, 490751,
+                                          86},
+                          PaperCounterPin{"fp4_table4", 4, true, 5857577, 191277, 8754, 191300,
+                                          254188, 5738621, 191272, 8754, 191295, 191272, 191272,
+                                          23}),
+        ::testing::Values(std::size_t{0}, std::size_t{4})),
+    [](const auto& param_info) {
+      return std::string(std::get<0>(param_info.param).name) + "_threads" +
+             std::to_string(std::get<1>(param_info.param));
+    });
 
 }  // namespace
 }  // namespace fpopt

@@ -17,6 +17,7 @@
 #include "optimize/combine.h"
 #include "optimize/curve_queries.h"
 #include "optimize/optimizer.h"
+#include "reference/reference.h"
 #include "runtime/thread_pool.h"
 #include "shape/r_list.h"
 #include "test_util.h"
@@ -72,7 +73,7 @@ TEST(CombineFuzzTest, SliceMatchesNaiveAndChecksClean) {
     for (const bool horizontal : {false, true}) {
       OptimizerStats stats;
       const RCombineResult fast = combine_slice(a, b, horizontal, budget, stats);
-      const RCombineResult naive = combine_slice_naive(a, b, horizontal, budget, stats);
+      const RCombineResult naive = reference::combine_slice_naive(a, b, horizontal, budget, stats);
       EXPECT_EQ(fast.list, naive.list);
       EXPECT_EQ(fast.prov.size(), fast.list.size());
       const CheckResult res = check_r_list(fast.list, "combine_slice");

@@ -1,6 +1,8 @@
 // Unit tests for the memory instrumentation (BudgetTracker / TransientScope).
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "optimize/stats.h"
 
 namespace fpopt {
@@ -109,6 +111,52 @@ TEST(TransientScopeTest, ResetToShrinksTheAccountedBuffer) {
   s.reset_to(200);  // growing via reset is a no-op
   s.add(20);
   EXPECT_EQ(t.peak_transient(), 110u);
+}
+
+TEST(TransientScopeTest, RejectedAddGivesBackOnlyWhatWasCharged) {
+  BudgetTracker t(10);
+  t.add_stored(2);
+  {
+    TransientScope s(t);
+    s.add(6);
+    EXPECT_THROW(s.add(5), MemoryLimitExceeded);
+  }
+  EXPECT_EQ(t.room(), 8u) << "unwinding must release the 6 charged units, not 11";
+}
+
+TEST(TransientScopeTest, AddUnitsTripsOnTheSameUnitAsSingleAdds) {
+  for (std::size_t budget = 1; budget <= 12; ++budget) {
+    for (std::size_t n = 0; n <= 8; ++n) {
+      BudgetTracker one_by_one(budget), bulk(budget);
+      one_by_one.add_stored(3 < budget ? 3 : 0);
+      bulk.add_stored(3 < budget ? 3 : 0);
+      std::optional<MemoryLimitExceeded> a, b;
+      {
+        TransientScope s(one_by_one);
+        try {
+          for (std::size_t i = 0; i < n; ++i) s.add(1);
+        } catch (const MemoryLimitExceeded& e) {
+          a = e;
+        }
+      }
+      {
+        TransientScope s(bulk);
+        try {
+          s.add_units(n);
+        } catch (const MemoryLimitExceeded& e) {
+          b = e;
+        }
+      }
+      ASSERT_EQ(a.has_value(), b.has_value()) << budget << " " << n;
+      if (a) {
+        EXPECT_EQ(a->stored, b->stored);
+        EXPECT_EQ(a->transient, b->transient);
+      }
+      EXPECT_EQ(one_by_one.peak_transient(), bulk.peak_transient());
+      EXPECT_EQ(one_by_one.peak_total(), bulk.peak_total());
+      EXPECT_EQ(one_by_one.room(), bulk.room());
+    }
+  }
 }
 
 }  // namespace
