@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
-#include <limits>
 #include <optional>
 
 #include "cache/cache_key.h"
@@ -32,10 +31,9 @@ const LImpl* NodeResult::find_l(std::uint32_t id) const {
 namespace {
 
 /// Evaluates one T' node from its children's (already computed)
-/// NodeResults. Shared between the serial engine and every parallel task:
-/// the two engines differ only in scheduling and in which BudgetTracker
-/// they hand in (the serial engine threads one global tracker through the
-/// whole run; the profiled engines give every node its own).
+/// NodeResults, charging `budget` and counting into `stats`. The engine's
+/// prefetch tasks hand in a task-local tracker; its settle pass hands in
+/// one that holds the serial schedule's stored count at the node.
 class NodeEvaluator {
  public:
   NodeEvaluator(const FloorplanTree& tree, const OptimizerOptions& opts, OptimizeArtifacts& art,
@@ -187,8 +185,8 @@ class NodeEvaluator {
 };
 
 /// Fold `from`'s additive counters (and the order-independent max-folds)
-/// into `into`. The peak fields are *not* additive and are handled by the
-/// schedule-profile reconstruction.
+/// into `into`. The peak fields are *not* additive; the settle pass
+/// rebuilds them at each node's serial position.
 void accumulate_counters(OptimizerStats& into, const OptimizerStats& from) {
   into.total_generated += from.total_generated;
   into.nodes_evaluated += from.nodes_evaluated;
@@ -205,426 +203,275 @@ void accumulate_counters(OptimizerStats& into, const OptimizerStats& from) {
   into.l_selection_error += from.l_selection_error;
 }
 
-/// The serial engine: plain postorder recursion with one global tracker,
-/// byte-for-byte the behaviour this project has always had.
+/// One node's memory profile and counters (the fields of the cache's
+/// record), plus where they came from. A node's combine/selection work is
+/// a pure function of its children, so the profile is the same whichever
+/// thread computed it, and the same when the memo cache serves it.
+struct NodeProfile : NodeProfileRecord {
+  bool done = false;    ///< the profile is complete
+  bool served = false;  ///< loaded from the memo cache, not computed
+};
+
+/// The optimizer engine, for every thread count and cache state. run()
+/// does, in order:
+///  1. serve (incremental only): every cached internal node's result and
+///     profile are loaded up front;
+///  2. prefetch (only when a pool exists): the remaining nodes are
+///     evaluated on the pool in dependency order, each against a
+///     task-local BudgetTracker, recording its profile;
+///  3. settle: one serial postorder pass that accounts each profile at its
+///     serial position and evaluates, on the serial tracker, every node
+///     whose profile is missing or would not fit. With no pool and no
+///     cache it evaluates every node: it *is* the serial algorithm;
+///  4. publish (incremental only): the freshly computed nodes of a
+///     completed run go into the cache.
+/// The budget decision, the stats and (on abort) the trip point therefore
+/// come from the settle pass alone, and are the serial schedule's whatever
+/// the thread count or cache content (docs/ALGORITHMS.md §7, §8).
 class Engine {
  public:
   Engine(const FloorplanTree& tree, const OptimizerOptions& opts, OptimizeArtifacts& art,
          OptimizerStats& stats)
-      : art_(art),
+      : tree_(tree),
+        opts_(opts),
+        art_(art),
         stats_(stats),
-        budget_(opts.impl_budget),
-        evaluator_(tree, opts, art, budget_, stats, nullptr) {}
+        cache_(opts.incremental ? opts.cache : nullptr),
+        profiles_(art.btree.node_count) {
+    postorder_.reserve(art.btree.node_count);
+    collect_postorder(*art.btree.root);
+    if (cache_ != nullptr) keys_ = derive_node_keys(art.btree, tree, opts);
+    // A run-owned pool dies with the engine (its counters are kept for the
+    // report); an externally shared pool (opts.pool, the daemon's) outlives
+    // the run and keeps its own process-lifetime counters.
+    if (opts.threads != 0) {
+      pool_ = opts.pool;
+      if (pool_ == nullptr) pool_ = &owned_pool_.emplace(static_cast<unsigned>(opts.threads));
+    }
+  }
+  Engine(const Engine&) = delete;  // pool tasks hold `this`
+  Engine& operator=(const Engine&) = delete;
 
-  void run() {
-    eval(*art_.btree.root);
-    snapshot_peaks();
+  /// Returns false when the run exceeded the budget; stats_ then holds the
+  /// serial schedule's stats at its trip point.
+  bool run() {
+    if (cache_ != nullptr) serve();
+    if (pool_ != nullptr) prefetch();
+    if (!settle()) return false;  // aborted runs publish nothing
+    if (cache_ != nullptr) publish();
+    return true;
   }
 
-  /// Copies the tracker peaks out even when the run aborted mid-way.
-  void snapshot_peaks() {
-    stats_.final_stored = budget_.stored();
-    stats_.peak_stored = budget_.peak_stored();
-    stats_.peak_transient = budget_.peak_transient();
-    stats_.peak_live = budget_.peak_total();
-  }
-
- private:
-  void eval(const BinaryNode& node) {
-    if (node.left) eval(*node.left);
-    if (node.right) eval(*node.right);
-    evaluator_.eval_node(node);
-  }
-
-  OptimizeArtifacts& art_;
-  OptimizerStats& stats_;
-  BudgetTracker budget_;
-  NodeEvaluator evaluator_;
-};
-
-constexpr std::size_t kNoParent = std::numeric_limits<std::size_t>::max();
-
-// ---- shared plumbing of the profiled engines ---------------------------
-//
-// Both the parallel engine and the incremental engines evaluate each node
-// against a task-local BudgetTracker and record the node's memory profile
-// (net stored delta, intra-node peaks) plus its additive stats counters.
-// Because a node's combine/selection work is a pure function of its
-// children, those profiles are schedule-independent, and after all nodes
-// are accounted for the engine replays the *serial* postorder memory
-// profile from them. The budget-abort decision and the reported peaks
-// come from that replay, so they are identical to the serial scratch
-// engine's — whether a node's profile was recorded fresh or served from
-// the memo cache (a cached subtree is structurally identical to the one
-// that produced the record, so its profile is identical too).
-
-struct NodeProfile {
-  OptimizerStats stats;            ///< this node's counters only
-  std::size_t net_stored = 0;      ///< stored delta the node leaves behind
-  std::size_t peak_stored = 0;     ///< intra-node peak, relative to entry
-  std::size_t peak_transient = 0;  ///< intra-node transient peak
-  std::size_t peak_total = 0;      ///< intra-node stored+transient peak
-  std::size_t subtree_net = 0;     ///< net_stored summed over the subtree
-  bool done = false;
-};
-
-/// Flattened view of T': node pointers, parents and the serial
-/// (postorder) evaluation order, all indexed by BinaryNode::id.
-struct FlatTree {
-  std::vector<const BinaryNode*> nodes;
-  std::vector<std::size_t> parent;
-  std::vector<std::size_t> postorder;
-
-  explicit FlatTree(const BinaryTree& btree) {
-    nodes.resize(btree.node_count, nullptr);
-    parent.resize(btree.node_count, kNoParent);
-    postorder.reserve(btree.node_count);
-    flatten(*btree.root, kNoParent);
+  /// Scheduling counters of a run-owned pool; empty otherwise.
+  [[nodiscard]] telemetry::PoolStats owned_pool_stats() const {
+    return owned_pool_ ? owned_pool_->stats() : telemetry::PoolStats{};
   }
 
  private:
-  void flatten(const BinaryNode& node, std::size_t par) {
-    nodes[node.id] = &node;
-    parent[node.id] = par;
-    if (node.left) flatten(*node.left, node.id);
-    if (node.right) flatten(*node.right, node.id);
-    postorder.push_back(node.id);  // children pushed above => postorder
+  void collect_postorder(const BinaryNode& node) {
+    if (node.left) collect_postorder(*node.left);
+    if (node.right) collect_postorder(*node.right);
+    postorder_.push_back(&node);
   }
-};
 
-[[nodiscard]] std::size_t children_subtree_net(const BinaryNode& node,
-                                               const std::vector<NodeProfile>& profiles) {
-  std::size_t net = 0;
-  if (node.left) net += profiles[node.left->id].subtree_net;
-  if (node.right) net += profiles[node.right->id].subtree_net;
-  return net;
-}
-
-/// Replay the serial postorder schedule's memory profile from the
-/// per-node records: stored at node entry is the prefix sum of earlier
-/// nets, transient is zero between nodes (TransientScope is node-local).
-/// Throws when the serial schedule would have exceeded the budget.
-void replay_serial_profile(const FlatTree& flat, const std::vector<NodeProfile>& profiles,
-                           OptimizerStats& stats, std::size_t impl_budget) {
-  std::size_t prefix = 0;
-  std::size_t peak_stored = 0, peak_transient = 0, peak_total = 0;
-  for (const std::size_t id : flat.postorder) {
-    const NodeProfile& prof = profiles[id];
-    assert(prof.done);
-    peak_stored = std::max(peak_stored, prefix + prof.peak_stored);
-    peak_transient = std::max(peak_transient, prof.peak_transient);
-    peak_total = std::max(peak_total, prefix + prof.peak_total);
-    prefix += prof.net_stored;
-    accumulate_counters(stats, prof.stats);
+  [[nodiscard]] bool over_budget(std::size_t live) const {
+    return opts_.impl_budget != 0 && live > opts_.impl_budget;
   }
-  stats.peak_stored = peak_stored;
-  stats.peak_transient = peak_transient;
-  stats.peak_live = peak_total;
-  stats.final_stored = prefix;
-  if (impl_budget != 0 && peak_total > impl_budget) {
-    // The serial schedule would have thrown mid-run (a transient spike
-    // no early check can see); report the same outcome.
-    throw MemoryLimitExceeded{prefix, 0};
+
+  [[nodiscard]] std::size_t children_subtree_net(const BinaryNode& node) const {
+    std::size_t net = 0;
+    if (node.left) net += profiles_[node.left->id].subtree_net;
+    if (node.right) net += profiles_[node.right->id].subtree_net;
+    return net;
   }
-}
 
-/// Best-effort stats for an aborted run: counters and peaks over the
-/// nodes that did complete, merged in postorder. (The serial engine's
-/// abort-time snapshot is schedule-position-dependent in the same way.)
-void snapshot_partial(const FlatTree& flat, const std::vector<NodeProfile>& profiles,
-                      OptimizerStats& stats) {
-  std::size_t prefix = 0;
-  for (const std::size_t id : flat.postorder) {
-    const NodeProfile& prof = profiles[id];
-    if (!prof.done) continue;
-    stats.peak_stored = std::max(stats.peak_stored, prefix + prof.peak_stored);
-    stats.peak_transient = std::max(stats.peak_transient, prof.peak_transient);
-    stats.peak_live = std::max(stats.peak_live, prefix + prof.peak_total);
-    prefix += prof.net_stored;
-    accumulate_counters(stats, prof.stats);
+  /// Fill `prof` from the tracker that evaluated the node; `entry_stored`
+  /// is what the tracker held when the node started.
+  void record(NodeProfile& prof, const BudgetTracker& tracker, std::size_t entry_stored,
+              std::size_t desc_net) const {
+    prof.net_stored = tracker.stored() - entry_stored;
+    prof.peak_stored = tracker.peak_stored() - entry_stored;
+    prof.peak_transient = tracker.peak_transient();
+    prof.peak_total = tracker.peak_total() - entry_stored;
+    prof.subtree_net = prof.net_stored + desc_net;
+    prof.done = true;
   }
-  stats.final_stored = prefix;
-}
 
-/// The memo-cache pre- and post-pass shared by the incremental engines.
-/// Both passes run on the coordinating thread only, in postorder, so LRU
-/// touches, insertions and evictions are identical for every thread count.
-class CacheBinding {
- public:
-  CacheBinding(CacheView& cache, const FloorplanTree& tree, const OptimizerOptions& opts,
-               const OptimizeArtifacts& art)
-      : cache_(cache),
-        keys_(derive_node_keys(art.btree, tree, opts)),
-        served_(art.btree.node_count, 0) {}
-
-  /// Probe every internal node; copy hits into the artifacts and load
-  /// their recorded profiles (leaves are always evaluated — they are a
-  /// plain copy of the module library anyway).
-  void serve(const FlatTree& flat, OptimizeArtifacts& art, std::vector<NodeProfile>& profiles) {
+  /// Probe every internal node in postorder; copy hits into the artifacts
+  /// and load their recorded profiles (leaves are always evaluated — they
+  /// are a plain copy of the module library anyway). Serve and publish run
+  /// on the coordinating thread only, in postorder, so LRU touches,
+  /// insertions and evictions are identical for every thread count.
+  void serve() {
     telemetry::TraceSpan span(telemetry::TraceCat::kCache, "serve_pass");
     std::uint64_t hits = 0;
-    for (const std::size_t id : flat.postorder) {
-      if (flat.nodes[id]->is_leaf()) continue;
-      const CacheEntry* entry = cache_.find(keys_[id]);
+    for (const BinaryNode* node : postorder_) {
+      if (node->is_leaf()) continue;
+      const CacheEntry* entry = cache_->find(keys_[node->id]);
       if (entry == nullptr) continue;
-      telemetry::trace_instant(telemetry::TraceCat::kCache, "memo_serve", id,
+      telemetry::trace_instant(telemetry::TraceCat::kCache, "memo_serve", node->id,
                                entry->profile.net_stored);
       ++hits;
-      art.nodes[id] = entry->result;
-      NodeProfile& prof = profiles[id];
-      prof.stats = entry->profile.counters;
-      prof.net_stored = entry->profile.net_stored;
-      prof.peak_stored = entry->profile.peak_stored;
-      prof.peak_transient = entry->profile.peak_transient;
-      prof.peak_total = entry->profile.peak_total;
-      prof.subtree_net = entry->profile.subtree_net;
-      prof.done = true;
-      served_[id] = 1;
+      art_.nodes[node->id] = entry->result;
+      NodeProfile& prof = profiles_[node->id];
+      static_cast<NodeProfileRecord&>(prof) = entry->profile;
+      prof.done = prof.served = true;
     }
     span.set_arg(hits);
   }
 
-  [[nodiscard]] bool served(std::size_t id) const { return served_[id] != 0; }
-
-  /// Publish the freshly computed nodes of a successful run.
-  void publish(const FlatTree& flat, const OptimizeArtifacts& art,
-               const std::vector<NodeProfile>& profiles) {
+  /// Publish the freshly computed nodes of a completed run.
+  void publish() {
     telemetry::TraceSpan span(telemetry::TraceCat::kCache, "publish_pass");
     std::uint64_t published = 0;
-    for (const std::size_t id : flat.postorder) {
-      if (flat.nodes[id]->is_leaf() || served_[id] != 0) continue;
-      telemetry::trace_instant(telemetry::TraceCat::kCache, "memo_publish", id);
+    for (const BinaryNode* node : postorder_) {
+      if (node->is_leaf() || profiles_[node->id].served) continue;
+      telemetry::trace_instant(telemetry::TraceCat::kCache, "memo_publish", node->id);
       ++published;
-      const NodeProfile& prof = profiles[id];
-      cache_.insert(keys_[id], art.nodes[id],
-                    NodeProfileRecord{prof.stats, prof.net_stored, prof.peak_stored,
-                                      prof.peak_transient, prof.peak_total,
-                                      prof.subtree_net});
+      cache_->insert(keys_[node->id], art_.nodes[node->id], profiles_[node->id]);
     }
     span.set_arg(published);
   }
 
- private:
-  CacheView& cache_;
-  std::vector<CacheKey> keys_;
-  std::vector<char> served_;
-};
-
-/// The serial incremental engine: one postorder sweep with per-node
-/// profiles, cache hits served up front, and the same sound early-abort
-/// checks + serial replay the parallel engine uses (the equivalence
-/// argument on ParallelEngine applies verbatim with "task" read as
-/// "postorder step"):
-///  * committed counter: net stored deltas are non-negative, so as soon
-///    as the accounted nodes' nets alone exceed the budget, the scratch
-///    run's final stored count exceeds it too — abort.
-///  * per-node local cap: when node v runs, the scratch schedule would
-///    hold at least the net stored of v's children's subtrees.
-class IncrementalSerialEngine {
- public:
-  IncrementalSerialEngine(const FloorplanTree& tree, const OptimizerOptions& opts,
-                          OptimizeArtifacts& art, OptimizerStats& stats, CacheBinding& binding)
-      : tree_(tree),
-        opts_(opts),
-        art_(art),
-        stats_(stats),
-        binding_(binding),
-        flat_(art.btree),
-        profiles_(art.btree.node_count) {}
-
-  void run() {
-    binding_.serve(flat_, art_, profiles_);
-    std::size_t committed = 0;
-    for (const std::size_t id : flat_.postorder) {
-      NodeProfile& prof = profiles_[id];
-      if (!prof.done) {
-        const BinaryNode& node = *flat_.nodes[id];
-        const std::size_t desc_net = children_subtree_net(node, profiles_);
-        std::size_t local_budget = 0;  // 0 = unlimited
-        if (opts_.impl_budget != 0) {
-          local_budget = opts_.impl_budget > desc_net ? opts_.impl_budget - desc_net : 1;
-        }
-        BudgetTracker local(local_budget);
-        NodeEvaluator evaluator(tree_, opts_, art_, local, prof.stats, nullptr);
-        try {
-          evaluator.eval_node(node);
-        } catch (const MemoryLimitExceeded&) {
-          snapshot_partial(flat_, profiles_, stats_);
-          throw;
-        }
-        prof.net_stored = local.stored();
-        prof.peak_stored = local.peak_stored();
-        prof.peak_transient = local.peak_transient();
-        prof.peak_total = local.peak_total();
-        prof.subtree_net = prof.net_stored + desc_net;
-        prof.done = true;
-      }
-      committed += prof.net_stored;
-      if (opts_.impl_budget != 0 && committed > opts_.impl_budget) {
-        snapshot_partial(flat_, profiles_, stats_);
-        throw MemoryLimitExceeded{committed, 0};
-      }
-    }
-    replay_serial_profile(flat_, profiles_, stats_, opts_.impl_budget);
-    binding_.publish(flat_, art_, profiles_);
-  }
-
- private:
-  const FloorplanTree& tree_;
-  const OptimizerOptions& opts_;
-  OptimizeArtifacts& art_;
-  OptimizerStats& stats_;
-  CacheBinding& binding_;
-  FlatTree flat_;
-  std::vector<NodeProfile> profiles_;
-};
-
-/// The parallel engine: a dependency-counting bottom-up schedule over T'.
-/// Every node is a task that fires when both children are done; each task
-/// evaluates its node with a task-local BudgetTracker and records the
-/// node's memory profile. After the DAG drains the engine replays the
-/// *serial* postorder memory profile (see the shared-plumbing comment
-/// above), so the budget-abort decision and the reported peaks are
-/// identical to the serial engine's for every thread count.
-///
-/// Two sound early-abort checks avoid computing doomed runs to the end:
-///  * committed counter: net stored deltas are non-negative, so as soon as
-///    the completed nodes' nets alone exceed the budget, the serial run's
-///    final stored count exceeds it too — abort.
-///  * per-task local cap: when node v runs, the serial schedule would hold
-///    at least the net stored of v's whole subtree; a task-local budget of
-///    (budget - subtree nets of children) therefore only trips when the
-///    serial run would trip at or before the same point in v.
-/// Neither check can fire on a run the serial engine completes, and any
-/// abort the checks miss is caught by the exact replay, so the outcome is
-/// deterministic either way.
-///
-/// In incremental mode the cache pre-pass serves clean subtrees before
-/// the fan-out: served nodes are born `done`, never become tasks, and do
-/// not appear in any dependency count — only the dirty nodes hit the
-/// pool. Publishing back to the cache happens serially after the drain.
-class ParallelEngine {
- public:
-  ParallelEngine(const FloorplanTree& tree, const OptimizerOptions& opts,
-                 OptimizeArtifacts& art, OptimizerStats& stats, ThreadPool& pool,
-                 CacheBinding* binding)
-      : tree_(tree),
-        opts_(opts),
-        art_(art),
-        stats_(stats),
-        pool_(pool),
-        binding_(binding),
-        flat_(art.btree) {
-    const std::size_t n = art_.btree.node_count;
+  /// A dependency-counting bottom-up schedule over T': every node the
+  /// cache did not serve is a task that fires when its unserved children
+  /// are done, and records its profile from a task-local tracker.
+  ///
+  /// Two sound early stops skip work on runs the settle pass will abort:
+  ///  * committed counter: net stored deltas are non-negative, so as soon
+  ///    as the completed (and served) nodes' nets alone exceed the budget,
+  ///    the serial run's final stored count exceeds it too;
+  ///  * per-task local cap: when node v runs, the serial schedule holds at
+  ///    least the net stored of v's children's subtrees, so a task-local
+  ///    budget of (budget - those nets) only trips when the serial run
+  ///    trips at or before the same point in v.
+  /// Neither fires on a run the serial schedule completes. After either
+  /// fires, the remaining tasks only drain, and the settle pass evaluates
+  /// whatever is missing up to the serial trip point.
+  void prefetch() {
+    const std::size_t n = postorder_.size();
+    parent_.assign(n, nullptr);
     pending_ = std::vector<std::atomic<int>>(n);
-    profiles_ = std::vector<NodeProfile>(n);
-    if (binding_ != nullptr) binding_->serve(flat_, art_, profiles_);
+    std::vector<const BinaryNode*> ready;  // taken before any task runs
     std::size_t served_net = 0;
-    for (std::size_t id = 0; id < n; ++id) {
-      if (profiles_[id].done) {
-        served_net += profiles_[id].net_stored;
-        // relaxed: single-threaded constructor; the pool starts later.
-        pending_[id].store(0, std::memory_order_relaxed);
-        continue;
-      }
-      const BinaryNode& node = *flat_.nodes[id];
+    for (const BinaryNode* node : postorder_) {
       int waits = 0;
-      if (node.left && !profiles_[node.left->id].done) ++waits;
-      if (node.right && !profiles_[node.right->id].done) ++waits;
-      // relaxed (all three): single-threaded constructor; TaskGroup's
-      // submission edges publish this state before any worker reads it.
-      pending_[id].store(waits, std::memory_order_relaxed);
-    }
-    committed_.store(served_net, std::memory_order_relaxed);
-    if (opts_.impl_budget != 0 && served_net > opts_.impl_budget) {
-      aborted_.store(true, std::memory_order_relaxed);  // relaxed: still single-threaded
-    }
-  }
-
-  /// Throws MemoryLimitExceeded when the (deterministic) budget decision
-  /// is "abort"; fills stats_ otherwise.
-  void run() {
-    TaskGroup group(&pool_);
-    group_ = &group;
-    for (std::size_t id = 0; id < flat_.nodes.size(); ++id) {
-      // relaxed: reading our own constructor's writes on this thread.
-      if (!profiles_[id].done && pending_[id].load(std::memory_order_relaxed) == 0) {
-        group.run([this, id] { exec(id); });
+      for (const BinaryNode* child : {node->left.get(), node->right.get()}) {
+        if (child == nullptr) continue;
+        parent_[child->id] = node;
+        if (!profiles_[child->id].done) ++waits;
       }
+      const NodeProfile& prof = profiles_[node->id];
+      if (prof.done) served_net += prof.net_stored;
+      if (!prof.done && waits == 0) ready.push_back(node);
+      // relaxed: single-threaded setup; TaskGroup's submission edges
+      // publish this state before any worker reads it. A served node's
+      // count is 0, so no child's decrement can ever submit it.
+      pending_[node->id].store(prof.done ? 0 : waits, std::memory_order_relaxed);
     }
+    // relaxed (both): still single-threaded, published the same way.
+    committed_.store(served_net, std::memory_order_relaxed);
+    aborted_.store(over_budget(served_net), std::memory_order_relaxed);
+
+    TaskGroup group(pool_);
+    group_ = &group;
+    for (const BinaryNode* node : ready) group.run([this, node] { exec(*node); });
     group.wait();  // rethrows unexpected task exceptions
     group_ = nullptr;
-
-    // acquire (both): group.wait() already synchronized, but the pairing
-    // with exec()'s release stores keeps this read self-documenting.
-    if (aborted_.load(std::memory_order_acquire)) {
-      snapshot_partial(flat_, profiles_, stats_);
-      throw MemoryLimitExceeded{committed_.load(std::memory_order_acquire), 0};
-    }
-    replay_serial_profile(flat_, profiles_, stats_, opts_.impl_budget);
-    if (binding_ != nullptr) binding_->publish(flat_, art_, profiles_);
   }
 
- private:
-  void exec(std::size_t id) {
-    const BinaryNode& node = *flat_.nodes[id];
+  void exec(const BinaryNode& node) {
     // acquire: pairs with the release stores below so a task that skips
     // work also observes the state the aborting task published.
     if (!aborted_.load(std::memory_order_acquire)) {
-      const std::size_t desc_net = children_subtree_net(node, profiles_);
+      const std::size_t desc_net = children_subtree_net(node);
       std::size_t local_budget = 0;  // 0 = unlimited
       if (opts_.impl_budget != 0) {
-        // Sound early cap (see class comment); when the children already
-        // fill the budget, any add of >= 1 implementation must abort.
+        // Sound early cap (see prefetch); when the children already fill
+        // the budget, any add of >= 1 implementation must abort.
         local_budget = opts_.impl_budget > desc_net ? opts_.impl_budget - desc_net : 1;
       }
       BudgetTracker local(local_budget);
-      NodeProfile& prof = profiles_[id];
-      NodeEvaluator evaluator(tree_, opts_, art_, local, prof.stats, &pool_);
+      NodeProfile& prof = profiles_[node.id];
       try {
-        evaluator.eval_node(node);
-        prof.net_stored = local.stored();
-        prof.peak_stored = local.peak_stored();
-        prof.peak_transient = local.peak_transient();
-        prof.peak_total = local.peak_total();
-        prof.subtree_net = prof.net_stored + desc_net;
-        prof.done = true;
+        NodeEvaluator(tree_, opts_, art_, local, prof.counters, pool_).eval_node(node);
+        record(prof, local, 0, desc_net);
         // acq_rel: the running total must observe every earlier add and
         // publish this node's profile writes with its contribution.
         const std::size_t committed =
-            committed_.fetch_add(prof.net_stored, std::memory_order_acq_rel) +
-            prof.net_stored;
-        if (opts_.impl_budget != 0 && committed > opts_.impl_budget) {
+            committed_.fetch_add(prof.net_stored, std::memory_order_acq_rel) + prof.net_stored;
+        if (over_budget(committed)) {
           // release: publishes the profile state that justified aborting.
           aborted_.store(true, std::memory_order_release);
         }
       } catch (const MemoryLimitExceeded&) {
-        // release: publishes the partial profile of the aborting node.
+        prof = NodeProfile{};  // an unfinished profile stays pristine
+        // release: publishes the state of the aborting node.
         aborted_.store(true, std::memory_order_release);
       }
     }
     // Cascade even when aborted so every queued dependency drains and
     // TaskGroup::wait returns promptly.
-    const std::size_t parent = flat_.parent[id];
-    if (parent != kNoParent &&
-        pending_[parent].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      group_->run([this, parent] { exec(parent); });
+    const BinaryNode* parent = parent_[node.id];
+    if (parent != nullptr && pending_[parent->id].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      group_->run([this, parent] { exec(*parent); });
     }
+  }
+
+  /// The serial postorder pass. The serial schedule holds `prefix` (the
+  /// nets of all earlier nodes) when it enters a node, and no transient
+  /// (TransientScope is node-local), so a complete profile that fits
+  /// under the budget at that position is accounted as is. Any other node
+  /// is evaluated afresh on a tracker pre-charged with `prefix`, the
+  /// serial schedule's exact state there (its old result, if any, is
+  /// simply overwritten); the pre-charge cannot throw, because every
+  /// accounted node fit. A node the prefetch finished but that does
+  /// not fit trips again here, at the serial trip point, so an aborted run
+  /// reports exactly the serial stats. Returns false on abort.
+  bool settle() {
+    std::size_t prefix = 0;
+    for (const BinaryNode* node : postorder_) {
+      NodeProfile& prof = profiles_[node->id];
+      bool tripped = false;
+      if (!prof.done || over_budget(prefix + prof.peak_total)) {
+        if (prof.done) prof = NodeProfile{};  // too big here: count it afresh
+        BudgetTracker serial(opts_.impl_budget);
+        serial.add_stored(prefix);
+        try {
+          NodeEvaluator(tree_, opts_, art_, serial, prof.counters, pool_).eval_node(*node);
+        } catch (const MemoryLimitExceeded&) {
+          tripped = true;  // the partial node counts, as in the serial schedule
+        }
+        record(prof, serial, prefix, children_subtree_net(*node));
+      }
+      stats_.peak_stored = std::max(stats_.peak_stored, prefix + prof.peak_stored);
+      stats_.peak_transient = std::max(stats_.peak_transient, prof.peak_transient);
+      stats_.peak_live = std::max(stats_.peak_live, prefix + prof.peak_total);
+      prefix += prof.net_stored;
+      stats_.final_stored = prefix;
+      accumulate_counters(stats_, prof.counters);
+      if (tripped) return false;
+    }
+    return true;
   }
 
   const FloorplanTree& tree_;
   const OptimizerOptions& opts_;
   OptimizeArtifacts& art_;
   OptimizerStats& stats_;
-  ThreadPool& pool_;
-  CacheBinding* binding_;
+  CacheView* cache_;
+  std::optional<ThreadPool> owned_pool_;
+  ThreadPool* pool_ = nullptr;
+
+  std::vector<const BinaryNode*> postorder_;  ///< the serial evaluation order
+  std::vector<NodeProfile> profiles_;         ///< by node id
+  std::vector<CacheKey> keys_;                ///< by node id (incremental only)
+
+  // Prefetch state, by node id where indexed.
+  std::vector<const BinaryNode*> parent_;
+  std::vector<std::atomic<int>> pending_;  ///< unserved children left
   TaskGroup* group_ = nullptr;
-
-  FlatTree flat_;
-  std::vector<std::atomic<int>> pending_;  ///< unserved children left, by node id
-  std::vector<NodeProfile> profiles_;      ///< by node id
-
-  std::atomic<std::size_t> committed_{0};  ///< nets of completed nodes
+  std::atomic<std::size_t> committed_{0};  ///< nets of completed and served nodes
   std::atomic<bool> aborted_{false};
 };
 
@@ -644,52 +491,19 @@ OptimizeOutcome optimize_floorplan(const FloorplanTree& tree, const OptimizerOpt
   }
   assert(!artifacts->btree.root->is_l_block() && "T' roots are rectangular blocks");
 
-  const bool incremental = opts.incremental && opts.cache != nullptr;
   OptimizeOutcome outcome;
-  try {
+  {
     const auto scope = phases.scope("evaluate");
     const telemetry::TraceSpan span(telemetry::TraceCat::kPhase, "evaluate");
-    std::optional<CacheBinding> binding;
-    if (incremental) binding.emplace(*opts.cache, tree, opts, *artifacts);
-    if (opts.threads == 0) {
-      if (incremental) {
-        IncrementalSerialEngine engine(tree, opts, *artifacts, outcome.stats, *binding);
-        engine.run();
-      } else {
-        Engine engine(tree, opts, *artifacts, outcome.stats);
-        try {
-          engine.run();
-        } catch (const MemoryLimitExceeded&) {
-          engine.snapshot_peaks();
-          throw;
-        }
-      }
-    } else {
-      // A run-owned pool dies with this scope (its counters are kept for
-      // the report); an externally shared pool (opts.pool, the daemon's)
-      // outlives the run and keeps its own process-lifetime counters.
-      std::optional<ThreadPool> owned;
-      ThreadPool* pool = opts.pool;
-      if (pool == nullptr) {
-        owned.emplace(static_cast<unsigned>(opts.threads));
-        pool = &*owned;
-      }
-      ParallelEngine engine(tree, opts, *artifacts, outcome.stats, *pool,
-                            binding ? &*binding : nullptr);
-      try {
-        engine.run();
-      } catch (const MemoryLimitExceeded&) {
-        if (owned) outcome.pool_stats = owned->stats();
-        throw;
-      }
-      if (owned) outcome.pool_stats = owned->stats();
+    Engine engine(tree, opts, *artifacts, outcome.stats);
+    outcome.out_of_memory = !engine.run();
+    outcome.pool_stats = engine.owned_pool_stats();
+    if (!outcome.out_of_memory) {
+      const NodeResult& root = artifacts->nodes[artifacts->btree.root->id];
+      outcome.root = root.rlist;
+      outcome.best_area = root.rlist[root.rlist.min_area_index()].area();
+      outcome.artifacts = std::move(artifacts);
     }
-    const NodeResult& root = artifacts->nodes[artifacts->btree.root->id];
-    outcome.root = root.rlist;
-    outcome.best_area = root.rlist[root.rlist.min_area_index()].area();
-    outcome.artifacts = std::move(artifacts);
-  } catch (const MemoryLimitExceeded&) {
-    outcome.out_of_memory = true;
   }
 
   outcome.phases = phases.samples();

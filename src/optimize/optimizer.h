@@ -12,21 +12,23 @@
 // simulates the paper's memory exhaustion and aborts the run when the
 // total live implementation count exceeds it.
 //
-// With OptimizerOptions::threads > 0 the engine evaluates T' on a
+// One engine serves every thread count and cache state. Its settle pass
+// walks T' in postorder on one tracker that holds the serial schedule's
+// memory at each node; it evaluates every node nobody else did, so with
+// threads = 0 and no cache it is the plain serial algorithm. With
+// OptimizerOptions::threads > 0 a prefetch first evaluates T' on a
 // work-stealing thread pool: every internal node becomes a task that
 // fires once both children's NodeResults are ready, and the selection /
 // error-table kernels inside a node additionally split their DP layers
-// across the same workers. The parallel mode is *deterministic* — node
-// lists, provenance, selection certificates, stats counters and the
-// memory-budget abort decision are bit-identical to the serial engine
-// for every thread count (see docs/ALGORITHMS.md §7 for the scheduling
-// and budget-accounting model).
-//
-// With OptimizerOptions::incremental and a MemoCache, the engine serves
-// every T' node whose content-addressed subtree key is already cached —
-// after a topology move only the dirty root-path is recomputed — while
-// served nodes replay their recorded memory/stats profiles, preserving
-// the same bit-identical contract (docs/ALGORITHMS.md §8).
+// across the same workers. With OptimizerOptions::incremental and a
+// MemoCache, a serve pass first loads every T' node whose
+// content-addressed subtree key is already cached — after a topology move
+// only the dirty root-path is recomputed. The settle pass then accounts
+// each prefetched or served node's recorded memory profile at its serial
+// position, so node lists, provenance, selection certificates, stats
+// counters and the memory-budget abort decision are bit-identical for
+// every thread count and cache content, and an aborted run reports the
+// serial trip point's stats (docs/ALGORITHMS.md §7, §8).
 #pragma once
 
 #include <cstddef>
@@ -74,18 +76,18 @@ struct OptimizerOptions {
   /// for the node finishes. See LPruning for the two other modes.
   LPruning l_pruning = LPruning::GlobalAtNode;
   RestructureOptions restructure;
-  /// Worker threads for the parallel engine. 0 = the serial engine
-  /// (unchanged code path); N >= 1 = dependency-counting bottom-up
-  /// schedule over T' on an N-worker work-stealing pool, with the hot
-  /// selection kernels parallelized inside each node. Results are
-  /// bit-identical for every value.
+  /// Worker threads. 0 = no pool: the settle pass evaluates T' serially;
+  /// N >= 1 = a dependency-counting bottom-up prefetch over T' on an
+  /// N-worker work-stealing pool, with the hot selection kernels
+  /// parallelized inside each node. Results and stats, including those of
+  /// an aborted run, are bit-identical for every value.
   std::size_t threads = 0;
   /// Incremental mode: serve every T' node whose content-addressed
   /// subtree key is present in `cache` from the cache (only the dirty
   /// root-path of a move is recomputed) and publish the recomputed nodes
-  /// back after a successful run. Served nodes replay their recorded
-  /// memory/stats profiles through the serial-postorder budget model, so
-  /// artifacts, stats (including peak_live) and the out-of-memory
+  /// back after a successful run. Served nodes' recorded memory/stats
+  /// profiles are accounted by the serial settle pass, so artifacts, stats
+  /// (including peak_live, and an aborted run's) and the out-of-memory
   /// decision are byte-identical to a scratch run at any thread count.
   /// No effect unless `cache` is also set.
   bool incremental = false;
@@ -97,9 +99,9 @@ struct OptimizerOptions {
   /// view: a run-local MemoCache, or a per-request CacheSession over the
   /// daemon's SharedMemoCache (cache/shared_cache.h).
   CacheView* cache = nullptr;
-  /// Optional externally owned pool for the parallel engine (threads >
-  /// 0). When null the engine spins up its own `threads`-worker pool for
-  /// the run — the standalone behavior. A long-running process (fpoptd)
+  /// Optional externally owned pool for the prefetch (threads > 0). When
+  /// null the engine spins up its own `threads`-worker pool for the run —
+  /// the standalone behavior. A long-running process (fpoptd)
   /// passes one process-wide pool instead so concurrent runs share the
   /// workers; results stay bit-identical either way (the schedule is
   /// deterministic for every worker count). Shared-pool runs leave

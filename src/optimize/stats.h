@@ -32,9 +32,10 @@ struct OptimizerStats {
   std::size_t final_stored = 0;     ///< retained at the end of the run
   std::size_t peak_transient = 0;   ///< largest candidate buffer
   /// Peak of stored + transient — the quantity the impl_budget check is
-  /// applied to. In parallel mode this is the *serial schedule's* peak,
-  /// reconstructed from per-node profiles (see optimizer.cpp), so it is
-  /// identical for every thread count.
+  /// applied to. Always the *serial schedule's* peak: the engine's settle
+  /// pass folds per-node profiles in postorder (see optimizer.cpp), so it
+  /// is identical for every thread count and cache state. An aborted run
+  /// reports it, like the counters, as of the serial trip point.
   std::size_t peak_live = 0;
   std::size_t total_generated = 0;  ///< candidates ever emitted
   std::size_t nodes_evaluated = 0;  ///< tree nodes combined this run

@@ -161,6 +161,10 @@ TEST(IncrementalEquivalence, BudgetAbortBoundaryWithWarmAndColdCache) {
             << "move " << move << " budget " << budget << " threads " << threads;
         EXPECT_EQ(dump_outcome(tree, got), want_dump)
             << "move " << move << " budget " << budget << " threads " << threads;
+        // dump_outcome prints only the flag for an aborted run; the stats
+        // (the serial trip point's, for an abort) must match too.
+        EXPECT_EQ(dump_stats(got.stats), dump_stats(want.stats))
+            << "move " << move << " budget " << budget << " threads " << threads;
       }
     }
     // Leave the cache warm for the next move: publish the completing run.

@@ -308,8 +308,8 @@ struct PaperCounterPin {
   bool table4;  ///< Table 4 selection config instead of exact [9]
   std::size_t total_generated, peak_stored, peak_transient, peak_live;
   Area best_area;
-  // Serial run at impl_budget = peak_live - 1: abort-time stats and the
-  // MemoryLimitExceeded payload.
+  // Run at impl_budget = peak_live - 1, at any thread count: the serial
+  // trip point's stats and MemoryLimitExceeded payload.
   std::size_t abort_generated, abort_peak_stored, abort_peak_transient, abort_peak_live,
       abort_final_stored;
   std::size_t payload_stored, payload_transient;
@@ -353,7 +353,6 @@ TEST_P(PaperCounterTest, CountersAndBudgetDecisionsArePinned) {
   const OptimizerOptions tight = pin_options(pin, threads, pin.peak_live - 1);
   const OptimizeOutcome aborted = optimize_floorplan(tree, tight);
   ASSERT_TRUE(aborted.out_of_memory);
-  if (threads != 0) return;  // the parallel partial snapshot depends on the schedule
   EXPECT_EQ(aborted.stats.total_generated, pin.abort_generated);
   EXPECT_EQ(aborted.stats.peak_stored, pin.abort_peak_stored);
   EXPECT_EQ(aborted.stats.peak_transient, pin.abort_peak_transient);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "io/run_report_build.h"
+#include "optimize/artifact_dump.h"
 #include "optimize/optimizer.h"
 #include "optimize/placement.h"
 #include "telemetry/json.h"
@@ -267,13 +268,17 @@ TEST(ParallelEquivalence, AbortedRunReportIsWellFormedAtEveryThreadCount) {
   const OptimizeOutcome probe = optimize_floorplan(tree, opts);
   ASSERT_FALSE(probe.out_of_memory);
   opts.impl_budget = probe.stats.peak_live - 1;
+  const OptimizeOutcome serial = optimize_floorplan(tree, opts);
+  ASSERT_TRUE(serial.out_of_memory);
   for (const std::size_t threads : {std::size_t{0}, std::size_t{1}, std::size_t{8}}) {
     opts.threads = threads;
     const OptimizeOutcome aborted = optimize_floorplan(tree, opts);
     ASSERT_TRUE(aborted.out_of_memory) << "threads=" << threads;
+    // An aborted run reports the serial schedule's stats at its trip point,
+    // whatever the thread count.
+    EXPECT_EQ(dump_stats(aborted.stats), dump_stats(serial.stats)) << "threads=" << threads;
     const RunReportDoc doc = report_of(aborted);
-    // Partial counters are schedule-dependent by design; the report must
-    // still be schema-valid and carry the aborted flag.
+    // The report must be schema-valid and carry the aborted flag.
     const std::vector<std::string> errors = telemetry::validate_run_report(doc.doc);
     EXPECT_TRUE(errors.empty())
         << "threads=" << threads << ": " << (errors.empty() ? "" : errors.front());
